@@ -98,15 +98,21 @@ stage repair-chaos env SWARM_CHAOS_SEEDS="${SWARM_CHAOS_SEEDS:-8}" \
 # the event loop (fig5 runs full quick volume), the threaded sweep driver,
 # and the one-Sim-per-shard driver from silent regressions. bench_shards
 # runs twice — single shard thread, then SWARM_SHARD_THREADS=2 — so the
-# threaded path (scoped threads, work stealing, shard-order merge) gets a
-# perf-budgeted exercise; its stdout is bit-identical either way.
+# threaded path (scoped threads, the work-stealing pool, shard-order merge)
+# gets a perf-budgeted exercise; both stdouts are kept and must be
+# byte-identical (the gate on the one pool both levels share).
 BIN_DIR="${CARGO_TARGET_DIR:-target}/release"
 perf_stage fig5 60 env SWARM_BENCH_THREADS=1 "$BIN_DIR/fig5"
 perf_stage fig8 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 "$BIN_DIR/fig8"
-perf_stage bench_shards 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 \
-    SWARM_SHARD_THREADS=1 "$BIN_DIR/bench_shards"
-perf_stage bench_shards-mt 120 env SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=1 \
-    SWARM_SHARD_THREADS=2 "$BIN_DIR/bench_shards"
+perf_stage bench_shards 120 sh -c '
+    SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=2 SWARM_SHARD_THREADS=1 \
+        "$0/bench_shards" > target/bench_shards_t1.out
+' "$BIN_DIR"
+perf_stage bench_shards-mt 120 sh -c '
+    SWARM_BENCH_OPS_SCALE=0.05 SWARM_BENCH_THREADS=1 SWARM_SHARD_THREADS=2 \
+        "$0/bench_shards" > target/bench_shards_t2.out
+' "$BIN_DIR"
+stage bench_shards-diff diff target/bench_shards_t1.out target/bench_shards_t2.out
 # The elastic-split timeline: wall time is dominated by the fixed 140 ms
 # simulated horizon (two cells), so the volume knob mainly shrinks the
 # preloaded keyspace; the split still has to seal or the bench fails.

@@ -24,7 +24,7 @@
 
 use std::time::Instant;
 
-use swarm_bench::{composed_threads, env_scaled_keys, sweep_on, write_csv, ExpParams, Protocol};
+use swarm_bench::{env_scaled_keys, sweep_on, sweep_threads, write_csv, ExpParams, Protocol};
 use swarm_fabric::{FaultPlan, NodeId};
 use swarm_kv::{divergent_stamp_pairs, run_workload, RepairConfig, RepairStats, RepairStrategy};
 use swarm_sim::{Nanos, Sim, NANOS_PER_MILLI};
@@ -49,7 +49,7 @@ fn main() {
     let n_keys: u64 = if quick { 1 << 14 } else { 1 << 20 };
     let drop_from: Nanos = NANOS_PER_MILLI;
     let drop_until: Nanos = if quick { 21 } else { 41 } * NANOS_PER_MILLI;
-    let (cell_threads, _) = composed_threads();
+    let cell_threads = sweep_threads();
     eprintln!("bench_repair: {cell_threads} sweep thread(s), 3 cells");
 
     let p = ExpParams {

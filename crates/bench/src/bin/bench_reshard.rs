@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use swarm_bench::{composed_threads, env_scaled_keys, sweep_on, write_csv, ExpParams, Protocol};
+use swarm_bench::{env_scaled_keys, sweep_on, sweep_threads, write_csv, ExpParams, Protocol};
 use swarm_kv::{run_workload, ElasticShard, ReshardEvent};
 use swarm_sim::{Nanos, Sim, NANOS_PER_MILLI};
 use swarm_workload::WorkloadSpec;
@@ -53,7 +53,7 @@ fn main() {
     let n_keys: u64 = if quick { 1 << 13 } else { 1 << 16 };
     let split_at = if quick { 40 } else { 100 } * NANOS_PER_MILLI;
     let end_at = if quick { 140 } else { 400 } * NANOS_PER_MILLI;
-    let (cell_threads, _) = composed_threads();
+    let cell_threads = sweep_threads();
     eprintln!("bench_reshard: {cell_threads} sweep thread(s), 2 cells");
 
     let p = ExpParams {

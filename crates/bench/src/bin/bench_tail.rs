@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use swarm_bench::{
-    composed_threads, env_scaled_keys, run_workload, sweep_on, write_csv, ExpParams, Protocol,
+    env_scaled_keys, run_workload, sweep_on, sweep_threads, write_csv, ExpParams, Protocol,
 };
 use swarm_fabric::{FaultPlan, NodeId, TrafficStats};
 use swarm_kv::{
@@ -150,7 +150,7 @@ fn main() {
     // dilute the unhedged p99): ~1.2 ops/µs aggregate puts the quick run
     // near 45 ms; schedule generously past both modes' horizons.
     let spike_count: u64 = if quick { 500 } else { 3_000 };
-    let (cell_threads, _) = composed_threads();
+    let cell_threads = sweep_threads();
 
     let cells: Vec<Cell> = [Plan::Calm, Plan::Spike]
         .iter()

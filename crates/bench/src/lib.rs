@@ -36,7 +36,8 @@
 //! every number is identical at any thread count. `bench_shards` adds a
 //! second level: inside each cell, every shard runs on its own `Sim` driven
 //! by `SWARM_SHARD_THREADS` OS threads (`swarm_kv::run_sharded_plan`), and
-//! [`composed_threads`] caps cells × shards to the available cores.
+//! [`composed_threads`] caps cells × shards to the available cores. Both
+//! levels run on one work-stealing pool, [`sweep_on`].
 //!
 //! Every system under test is built through [`swarm_kv::StoreBuilder`], so
 //! the four protocols share one construction and measurement path.
@@ -47,7 +48,7 @@ mod report;
 mod sweep;
 
 pub use report::{json_escape, validate_json, Report};
-pub use sweep::{cap_thread_product, composed_threads, sweep, sweep_on, sweep_threads};
+pub use sweep::{cap_thread_product, composed_threads, sweep, sweep_threads};
 
 use std::io::Write as _;
 use std::rc::Rc;
@@ -59,7 +60,7 @@ use swarm_kv::{
 use swarm_sim::{Histogram, Sim};
 use swarm_workload::{OpType, Workload, WorkloadSpec};
 
-pub use swarm_kv::{run_workload, Protocol};
+pub use swarm_kv::{run_workload, sweep_on, Protocol};
 // The warn-once env-knob convention shared by every harness variable
 // (`SWARM_BENCH_OPS_SCALE`, `SWARM_BENCH_THREADS`, `SWARM_CHAOS_SEEDS`);
 // defined beside the runner because `ops_scale` sits below this crate.

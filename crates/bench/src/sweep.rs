@@ -1,19 +1,20 @@
-//! Work-stealing sweep driver for independent simulation cells.
+//! Thread counts for sweeps over independent simulation cells.
 //!
 //! Every long experiment is a sweep over independent `(seed, config)` cells:
 //! each cell builds its own single-threaded, seeded [`swarm_sim::Sim`] and is
-//! bit-for-bit deterministic in isolation. That makes the sweep embarrassingly
-//! parallel: cells run on OS threads, each worker stealing the next
-//! not-yet-started cell from a shared counter, and results are merged in
-//! *cell order* — so the output of a parallel sweep is byte-identical to the
-//! sequential one, whatever the thread count or scheduling.
+//! bit-for-bit deterministic in isolation. Cells run on
+//! [`swarm_kv::sweep_on`], the work-stealing pool that also runs
+//! `ShardMode::Threads`, and results come back in *cell order* — so the
+//! output of a parallel sweep is byte-identical to the sequential one,
+//! whatever the thread count or scheduling.
 //!
 //! Thread count comes from `SWARM_BENCH_THREADS` (default: all cores). The
 //! cell closure must return only `Send` data (row strings, summary numbers);
 //! the `Sim` and everything built on it stay confined to the worker thread.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use swarm_kv::{available_cores, sweep_on};
 
 /// The sweep thread count: `SWARM_BENCH_THREADS` if set (a positive
 /// integer), otherwise the number of available cores. An unparsable value
@@ -23,13 +24,7 @@ pub fn sweep_threads() -> usize {
     swarm_kv::env_knob("SWARM_BENCH_THREADS", "a positive integer like 8", |n| {
         *n >= 1
     })
-    .unwrap_or_else(default_threads)
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    .unwrap_or_else(available_cores)
 }
 
 /// Whether the oversubscription warning already fired (once per process,
@@ -47,15 +42,17 @@ pub fn cap_thread_product(cell: usize, shard: usize, cores: usize) -> (usize, us
     (cell_c, shard_c)
 }
 
-/// The two-level parallelism of a sharded sweep: `SWARM_BENCH_THREADS`
-/// sweep cells × `SWARM_SHARD_THREADS` shard threads per cell, capped so
-/// the product does not exceed the available cores (a 16-cell × 16-shard
-/// request on an 8-core host would otherwise run 256 OS threads and lose
-/// to scheduling thrash). Warns once when the cap bites.
+/// The two-level parallelism of a sweep whose cells run shard threads
+/// (`ShardMode::Threads`): `SWARM_BENCH_THREADS` sweep cells ×
+/// `SWARM_SHARD_THREADS` shard threads per cell, capped so the product
+/// does not exceed the available cores (a 16-cell × 16-shard request on
+/// an 8-core host would otherwise run 256 OS threads and lose to
+/// scheduling thrash). Warns once when the cap bites. A sweep whose cells
+/// run no shard threads sizes itself with [`sweep_threads`] alone.
 pub fn composed_threads() -> (usize, usize) {
     let cell = sweep_threads();
     let shard = swarm_kv::shard_threads();
-    let cores = default_threads();
+    let cores = available_cores();
     let (cell_c, shard_c) = cap_thread_product(cell, shard, cores);
     if (cell_c, shard_c) != (cell, shard) && !OVERSUBSCRIBE_WARNED.swap(true, Ordering::Relaxed) {
         eprintln!(
@@ -77,82 +74,9 @@ where
     sweep_on(sweep_threads(), cells, run)
 }
 
-/// [`sweep`] with an explicit thread count (testable without the
-/// environment). `threads <= 1` runs strictly sequentially on the calling
-/// thread; either way results come back in cell order.
-pub fn sweep_on<T, R, F>(threads: usize, cells: &[T], run: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.min(cells.len());
-    if threads <= 1 {
-        return cells.iter().map(run).collect();
-    }
-    // Work stealing via a shared claim counter: finished workers pull the
-    // next unstarted cell, so long and short cells balance automatically.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                let out = run(cell);
-                *slots[i].lock().expect("sweep slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("sweep slot poisoned")
-                .expect("every claimed cell stores a result")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_come_back_in_cell_order() {
-        let cells: Vec<u64> = (0..37).collect();
-        let out = sweep_on(4, &cells, |&c| c * 10);
-        assert_eq!(out, cells.iter().map(|c| c * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_equals_sequential_for_simulation_cells() {
-        // Each cell runs its own seeded Sim; the parallel sweep must produce
-        // exactly the sequential outputs, cell for cell.
-        let cells: Vec<u64> = (0..12).collect();
-        let run = |&seed: &u64| {
-            let sim = swarm_sim::Sim::new(seed);
-            let s = sim.clone();
-            let end = sim.block_on(async move {
-                for _ in 0..50 {
-                    let d = s.rand_range(1, 1_000);
-                    s.sleep_ns(d).await;
-                }
-                s.now()
-            });
-            (seed, end, sim.counters().events_scheduled)
-        };
-        let sequential = sweep_on(1, &cells, run);
-        let parallel = sweep_on(4, &cells, run);
-        assert_eq!(sequential, parallel);
-    }
-
-    #[test]
-    fn zero_and_one_thread_degenerate_to_sequential() {
-        let cells = vec![1u32, 2, 3];
-        assert_eq!(sweep_on(0, &cells, |&c| c), vec![1, 2, 3]);
-        assert_eq!(sweep_on(1, &cells, |&c| c), vec![1, 2, 3]);
-    }
 
     #[test]
     fn thread_product_cap_prefers_shard_threads() {
@@ -185,15 +109,8 @@ mod tests {
         // usable: both levels >= 1 and the product within the core budget
         // (unless a single level already uses every core).
         let (cell, shard) = composed_threads();
-        let cores = default_threads();
+        let cores = available_cores();
         assert!(cell >= 1 && shard >= 1);
         assert!(cell * shard <= cores);
-    }
-
-    #[test]
-    fn empty_sweep_is_fine() {
-        let cells: Vec<u8> = Vec::new();
-        let out: Vec<u8> = sweep_on(8, &cells, |&c| c);
-        assert!(out.is_empty());
     }
 }

@@ -81,17 +81,21 @@
 //! service standing in for uKharon (§5.4). [`runner`](run_workload) drives
 //! YCSB workloads against any store — sequentially or in pipelined batches
 //! (`RunConfig::batch`) — and produces the statistics the paper's figures
-//! report. For correctness testing, [`HistoryRecorder`] wraps any store so
-//! every operation lands in a multi-key history checkable with
-//! `swarm_core::KvHistory` — the machinery behind the chaos suite (see
-//! `TESTING.md`).
+//! report; with [`run_scenario`] and [`run_sharded_plan`] it is one of
+//! three client models over one op executor and one [`OpStats`] type
+//! (`driver.rs` says why three). For correctness testing,
+//! [`HistoryRecorder`] wraps any store so every operation lands in a
+//! multi-key history checkable with `swarm_core::KvHistory` — the
+//! machinery behind the chaos suite (see `TESTING.md`).
 //!
 //! For true multi-core sharded runs, [`plan_workload`] +
 //! [`run_sharded_plan`] pre-partition a workload into per-shard op streams
 //! and drive each shard on its *own* seeded `Sim` — sequentially, on
 //! `SWARM_SHARD_THREADS` OS threads ([`ShardMode`]), or on one shared
 //! simulation as a cross-check — with bit-identical per-shard outcomes in
-//! every mode (see `parallel.rs`'s module docs for the argument).
+//! every mode (see `parallel.rs`'s module docs for the argument). Shard
+//! threads and every bench sweep share one work-stealing pool,
+//! [`sweep_on`].
 
 #![warn(missing_docs)]
 
@@ -99,6 +103,7 @@ mod builder;
 mod cache;
 mod client;
 mod cluster;
+mod driver;
 mod envknob;
 mod fusee;
 mod index;
@@ -117,6 +122,7 @@ pub use builder::{Protocol, StoreBuilder, StoreClient, StoreCluster};
 pub use cache::LfuCache;
 pub use client::{AdaptiveConfig, CacheCapacity, KvClient, KvClientConfig, Proto};
 pub use cluster::{Cluster, ClusterConfig, KeyInfo, LOADER_TID};
+pub use driver::OpStats;
 pub use envknob::{
     env_knob, hedge_config, hedge_delay_pct, hedge_max_inflight, parse_knob, repair_buckets,
     repair_period_ns,
@@ -125,8 +131,8 @@ pub use fusee::{FuseeCluster, FuseeConfig, FuseeKv};
 pub use index::{Index, InsertOutcome, INDEX_MSG_BYTES};
 pub use membership::Membership;
 pub use parallel::{
-    plan_workload, run_sharded_plan, run_sharded_workload, shard_threads, OpOutcome, PlannedOp,
-    ShardMode, ShardOutcome, ShardRunOptions, ShardedRun, WorkloadPlan,
+    available_cores, plan_workload, run_sharded_plan, shard_threads, sweep_on, OpOutcome,
+    PlannedOp, ShardMode, ShardOutcome, ShardRunOptions, ShardedRun, WorkloadPlan,
 };
 pub use recorder::{value_tag, HistoryRecorder, RecordingStore};
 pub use repair::{

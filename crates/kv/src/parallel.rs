@@ -28,52 +28,53 @@
 //! `shard_parallel` asserts exactly this across seeds, thread counts, and
 //! per-shard fault plans.
 //!
-//! Note the planned driver is a *different* client model from
-//! [`run_workload`](crate::run_workload) over routers: there, op generation
-//! draws from the shared stream at runtime and a router's per-shard clients
-//! share one CPU core. Cross-shard CPU sharing cannot exist once shards
-//! live on different OS threads, so here each `(router, shard)` pair is its
-//! own client and a router's cross-shard batch runs as per-shard slices.
-//! Numbers from the two drivers are each deterministic but not comparable
-//! to one another.
+//! The planned driver is its own client model (see `driver.rs`): numbers
+//! from it and from [`run_workload`](crate::run_workload) over routers are
+//! each deterministic but not comparable to one another.
 //!
 //! # Thread confinement
 //!
 //! A `Sim` is `!Send` (Rc-based wakers); each worker thread *constructs*
 //! its shard's `Sim` + [`StoreCluster`] locally and only the `Send`
-//! [`ShardOutcome`] crosses threads — the same discipline as
-//! `swarm_bench::sweep`, one level down.
+//! [`ShardOutcome`] crosses threads. [`sweep_on`], the one work-stealing
+//! pool, enforces that shape: shards here, and every bench's independent
+//! `(seed, config)` cells one level up.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use swarm_core::KvHistory;
 use swarm_fabric::{FaultPlan, TrafficStats};
-use swarm_sim::{join2, Nanos, Sim, SimRng};
+use swarm_sim::{Nanos, Sim, SimRng};
 use swarm_workload::{OpType, Workload};
 
 use crate::builder::{StoreBuilder, StoreCluster};
 use crate::cluster::derive_label;
+use crate::driver::{Fleet, Op, Reply};
 use crate::envknob::env_knob;
-#[cfg(test)]
-use crate::envknob::parse_knob;
 use crate::recorder::HistoryRecorder;
 use crate::repair::RepairStats;
 use crate::reshard::{ElasticShard, ReshardEvent, ReshardStats};
 use crate::runner::{RunConfig, RunStats};
 use crate::shard::ShardSpec;
-use crate::store::{KvError, KvStore, KvStoreExt};
+use crate::store::{KvError, KvStore};
 
 /// Base label the per-router planning streams fork from. Distinct from the
 /// shard labels (`SHARD_RNG_BASE`) and the chaos-worker labels, so planned
 /// op streams never collide with substrate streams.
 const PLAN_RNG_BASE: u64 = 0x504C_414E_0050_4C4E;
 
+/// The number of cores this process may use (1 if unknown): the default
+/// of both `SWARM_SHARD_THREADS` and `SWARM_BENCH_THREADS`.
+pub fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The shard-thread count: `SWARM_SHARD_THREADS` if set (a positive
-/// integer), otherwise the number of available cores. Follows the shared
+/// integer), otherwise [`available_cores`]. Follows the shared
 /// warn-once [`env_knob`] convention (`SWARM_BENCH_THREADS`,
 /// `SWARM_BENCH_OPS_SCALE`, ...): garbage is ignored with a one-time
 /// stderr warning, never a panic.
@@ -81,21 +82,7 @@ pub fn shard_threads() -> usize {
     env_knob("SWARM_SHARD_THREADS", "a positive integer like 4", |n| {
         *n >= 1
     })
-    .unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-#[cfg(test)]
-fn parse_shard_threads(raw: Option<&str>) -> Option<usize> {
-    parse_knob(
-        "SWARM_SHARD_THREADS",
-        raw,
-        "a positive integer like 4",
-        |n| *n >= 1,
-    )
+    .unwrap_or_else(available_cores)
 }
 
 /// How to drive the per-shard simulations of a planned run.
@@ -111,14 +98,6 @@ pub enum ShardMode {
     /// One solo `Sim` per shard, shards claimed work-stealing by this many
     /// OS threads. `Threads(1)` behaves exactly like `Sequential`.
     Threads(usize),
-}
-
-impl ShardMode {
-    /// `Threads(n)` with `n` from `SWARM_SHARD_THREADS` (default: all
-    /// cores).
-    pub fn from_env() -> ShardMode {
-        ShardMode::Threads(shard_threads())
-    }
 }
 
 /// One pre-planned operation: what to do, against which key, carrying the
@@ -165,11 +144,6 @@ pub struct WorkloadPlan {
 }
 
 impl WorkloadPlan {
-    /// The keyspace partitioning the plan routed by.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
     /// Number of router streams.
     pub fn routers(&self) -> usize {
         self.routers
@@ -193,11 +167,6 @@ impl WorkloadPlan {
                     .sum()
             })
             .collect()
-    }
-
-    /// The effective run configuration (after `SWARM_BENCH_OPS_SCALE`).
-    pub fn effective_config(&self) -> &RunConfig {
-        &self.cfg
     }
 }
 
@@ -398,26 +367,10 @@ impl ShardedRun {
     /// op counts sum, and the measurement window spans the earliest start
     /// to the latest end.
     pub fn merged_stats(&self) -> RunStats {
-        let mut latency: HashMap<OpType, swarm_sim::Histogram> = HashMap::new();
-        let mut out = RunStats {
-            start_ns: Nanos::MAX,
-            ..Default::default()
-        };
+        let mut out = RunStats::default();
         for o in &self.per_shard {
-            for (&op, h) in &o.stats.latency {
-                latency.entry(op).or_default().merge(h);
-            }
-            out.measured_ops += o.stats.measured_ops;
-            out.failed_ops += o.stats.failed_ops;
-            if o.stats.measured_ops > 0 {
-                out.start_ns = out.start_ns.min(o.stats.start_ns);
-                out.end_ns = out.end_ns.max(o.stats.end_ns);
-            }
+            out.merge(&o.stats);
         }
-        if out.measured_ops == 0 {
-            out.start_ns = 0;
-        }
-        out.latency = latency;
         out
     }
 
@@ -488,63 +441,13 @@ pub fn run_sharded_plan(
         "builder and plan disagree on the shard count"
     );
     let shards = plan.spec.shards();
+    let cells: Vec<usize> = (0..shards).collect();
+    let run = |shards: Range<usize>| run_on_one_sim(builder, seed, plan, workload, opts, shards);
+    let solo = |&s: &usize| run(s..s + 1).remove(0);
     let per_shard = match mode {
-        ShardMode::SingleSim => {
-            let sim = Sim::new(seed);
-            let clusters: Vec<StoreCluster> = (0..shards)
-                .map(|s| builder.build_one_shard(&sim, s))
-                .collect();
-            let tasks: Vec<ShardTasks> = clusters
-                .iter()
-                .enumerate()
-                .map(|(s, cluster)| setup_shard(&sim, cluster, builder, plan, workload, opts, s))
-                .collect();
-            sim.run();
-            clusters
-                .iter()
-                .zip(tasks)
-                .enumerate()
-                .map(|(s, (cluster, tasks))| finish_shard(s, cluster, tasks))
-                .collect()
-        }
-        ShardMode::Sequential => (0..shards)
-            .map(|s| run_one_shard(builder, seed, plan, workload, opts, s))
-            .collect(),
-        ShardMode::Threads(n) => {
-            let n = n.clamp(1, shards);
-            if n <= 1 {
-                (0..shards)
-                    .map(|s| run_one_shard(builder, seed, plan, workload, opts, s))
-                    .collect()
-            } else {
-                // Work stealing over shards, exactly the sweep driver's
-                // shape: a shared claim counter, per-shard result slots,
-                // results read back in shard order.
-                let next = AtomicUsize::new(0);
-                let slots: Vec<Mutex<Option<ShardOutcome>>> =
-                    (0..shards).map(|_| Mutex::new(None)).collect();
-                std::thread::scope(|scope| {
-                    for _ in 0..n {
-                        scope.spawn(|| loop {
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            if s >= shards {
-                                break;
-                            }
-                            let out = run_one_shard(builder, seed, plan, workload, opts, s);
-                            *slots[s].lock().expect("shard slot poisoned") = Some(out);
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|m| {
-                        m.into_inner()
-                            .expect("shard slot poisoned")
-                            .expect("every claimed shard stores an outcome")
-                    })
-                    .collect()
-            }
-        }
+        ShardMode::SingleSim => run(0..shards),
+        ShardMode::Sequential => sweep_on(1, &cells, solo),
+        ShardMode::Threads(n) => sweep_on(n, &cells, solo),
     };
     ShardedRun {
         per_shard,
@@ -552,50 +455,38 @@ pub fn run_sharded_plan(
     }
 }
 
-/// Plans and runs in one call: the front door for benches and tests that
-/// do not need to inspect or reuse the [`WorkloadPlan`].
-pub fn run_sharded_workload(
-    builder: &StoreBuilder,
-    seed: u64,
-    workload: &Workload,
-    cfg: &RunConfig,
-    routers: usize,
-    opts: &ShardRunOptions,
-    mode: ShardMode,
-) -> ShardedRun {
-    let plan = plan_workload(
-        seed,
-        ShardSpec::new(builder.num_shards()),
-        workload,
-        cfg,
-        routers,
-    );
-    run_sharded_plan(builder, seed, &plan, workload, opts, mode)
-}
-
-/// Builds, preloads, faults, and runs shard `s` alone on its own seeded
-/// `Sim`, on the calling thread.
-fn run_one_shard(
+/// Builds, preloads, faults, and runs `shards` together on one seeded
+/// `Sim`, on the calling thread: all of them under
+/// [`ShardMode::SingleSim`], one per call otherwise.
+fn run_on_one_sim(
     builder: &StoreBuilder,
     seed: u64,
     plan: &WorkloadPlan,
     workload: &Workload,
     opts: &ShardRunOptions,
-    s: usize,
-) -> ShardOutcome {
+    shards: Range<usize>,
+) -> Vec<ShardOutcome> {
     let sim = Sim::new(seed);
-    let cluster = builder.build_one_shard(&sim, s);
-    let tasks = setup_shard(&sim, &cluster, builder, plan, workload, opts, s);
+    let clusters: Vec<(usize, StoreCluster)> = shards
+        .map(|s| (s, builder.build_one_shard(&sim, s)))
+        .collect();
+    let tasks: Vec<ShardTasks> = clusters
+        .iter()
+        .map(|(s, cluster)| setup_shard(&sim, cluster, builder, plan, workload, opts, *s))
+        .collect();
     sim.run();
-    finish_shard(s, &cluster, tasks)
+    clusters
+        .iter()
+        .zip(tasks)
+        .map(|((s, cluster), tasks)| finish_shard(*s, cluster, tasks))
+        .collect()
 }
 
 /// The shard-confined run state workers write into.
 struct ShardTasks {
     rec: Option<HistoryRecorder>,
-    stats: Rc<RefCell<RunStats>>,
-    results: Rc<RefCell<Vec<(usize, usize, OpOutcome)>>>,
-    active: Rc<Cell<usize>>,
+    fleet: Rc<Fleet<OpType>>,
+    results: ResultSink,
     /// The elastic family wrapping this shard, when
     /// [`ShardRunOptions::reshards`] scheduled events on it.
     family: Option<Rc<ElasticShard>>,
@@ -655,60 +546,26 @@ fn setup_shard(
         }
     }
 
-    let stats = Rc::new(RefCell::new(RunStats::default()));
-    let results = Rc::new(RefCell::new(Vec::new()));
-    let active = Rc::new(Cell::new(0usize));
-    for r in 0..plan.routers {
-        let slices = &plan.slices[s][r];
+    let fleet = Fleet::new(RunStats::default());
+    let results = ResultSink::default();
+    let worker = ShardWorker {
+        sim,
+        workload,
+        cfg: &plan.cfg,
+        fleet: &fleet,
+        results: opts.collect_results.then_some(&results),
+    };
+    for (r, slices) in plan.slices[s].iter().enumerate() {
         if slices.is_empty() {
             continue;
         }
-        active.set(active.get() + 1);
-        let results = opts.collect_results.then(|| Rc::clone(&results));
-        // Four client shapes, one worker: elastic shards route through the
-        // family (bounce-aware), static shards talk to the cluster
-        // directly; either may be wrapped in the history recorder.
+        // Elastic shards route through the family (bounce-aware), static
+        // shards talk to the cluster directly; either may be recorded.
         match (&family, &rec) {
-            (Some(f), Some(rec)) => spawn_shard_worker(
-                sim,
-                rec.wrap(f.client(r)),
-                slices.clone(),
-                workload.clone(),
-                plan.cfg.clone(),
-                Rc::clone(&stats),
-                results,
-                Rc::clone(&active),
-            ),
-            (Some(f), None) => spawn_shard_worker(
-                sim,
-                f.client(r),
-                slices.clone(),
-                workload.clone(),
-                plan.cfg.clone(),
-                Rc::clone(&stats),
-                results,
-                Rc::clone(&active),
-            ),
-            (None, Some(rec)) => spawn_shard_worker(
-                sim,
-                rec.wrap(cluster.client(r)),
-                slices.clone(),
-                workload.clone(),
-                plan.cfg.clone(),
-                Rc::clone(&stats),
-                results,
-                Rc::clone(&active),
-            ),
-            (None, None) => spawn_shard_worker(
-                sim,
-                cluster.client(r),
-                slices.clone(),
-                workload.clone(),
-                plan.cfg.clone(),
-                Rc::clone(&stats),
-                results,
-                Rc::clone(&active),
-            ),
+            (Some(f), Some(rec)) => worker.spawn(slices, rec.wrap(f.client(r))),
+            (Some(f), None) => worker.spawn(slices, f.client(r)),
+            (None, Some(rec)) => worker.spawn(slices, rec.wrap(cluster.client(r))),
+            (None, None) => worker.spawn(slices, cluster.client(r)),
         }
     }
     if let Some(f) = &family {
@@ -718,18 +575,16 @@ fn setup_shard(
     }
     ShardTasks {
         rec,
-        stats,
+        fleet,
         results,
-        active,
         family,
     }
 }
 
 /// Extracts the `Send` outcome once shard `s`'s simulation drained.
 fn finish_shard(s: usize, cluster: &StoreCluster, tasks: ShardTasks) -> ShardOutcome {
-    assert_eq!(
-        tasks.active.get(),
-        0,
+    assert!(
+        tasks.fleet.idle(),
         "shard {s}: simulation drained with workers still pending \
          (set StoreBuilder::op_deadline_ns when running fault plans)"
     );
@@ -745,14 +600,10 @@ fn finish_shard(s: usize, cluster: &StoreCluster, tasks: ShardTasks) -> ShardOut
     };
     ShardOutcome {
         shard: s,
-        stats: Rc::try_unwrap(tasks.stats)
-            .map(RefCell::into_inner)
-            .unwrap_or_else(|_| panic!("shard {s}: stats still shared after drain")),
+        stats: tasks.fleet.stats.take(),
         traffic,
         history: tasks.rec.map(|r| r.take_history()),
-        results: Rc::try_unwrap(tasks.results)
-            .map(RefCell::into_inner)
-            .unwrap_or_else(|_| panic!("shard {s}: results still shared after drain")),
+        results: tasks.results.take(),
         reshard,
         repair,
     }
@@ -760,190 +611,116 @@ fn finish_shard(s: usize, cluster: &StoreCluster, tasks: ShardTasks) -> ShardOut
 
 type ResultSink = Rc<RefCell<Vec<(usize, usize, OpOutcome)>>>;
 
-/// One shard-side worker: runs one router's slices on this shard, in
-/// stream order, mirroring the runner's semantics — per-op client CPU
-/// work, pipelined multi-ops for batched slices, measured-only stats.
-#[allow(clippy::too_many_arguments)]
-fn spawn_shard_worker<S: KvStore + 'static>(
-    sim: &Sim,
-    store: Rc<S>,
-    slices: Vec<Slice>,
-    workload: Workload,
-    cfg: RunConfig,
-    stats: Rc<RefCell<RunStats>>,
-    results: Option<ResultSink>,
-    active: Rc<Cell<usize>>,
-) {
-    let sim2 = sim.clone();
-    sim.spawn(async move {
-        for slice in &slices {
-            // Client-side CPU work is paid per op element, batched or not
-            // (the runner's accounting, §7.2).
-            store
-                .endpoint()
-                .work(cfg.op_overhead_ns * slice.ops.len() as u64)
-                .await;
-            if cfg.batch > 1 {
-                run_slice_batched(&sim2, &store, slice, &workload, &stats, results.as_ref()).await;
-            } else {
-                run_slice_sequential(&sim2, &store, slice, &workload, &stats, results.as_ref())
-                    .await;
+/// What a shard's workers share: where they run and where replies go.
+struct ShardWorker<'a> {
+    sim: &'a Sim,
+    workload: &'a Workload,
+    cfg: &'a RunConfig,
+    fleet: &'a Rc<Fleet<OpType>>,
+    results: Option<&'a ResultSink>,
+}
+
+impl ShardWorker<'_> {
+    /// Spawns one router's worker on `store`: its slices run in stream
+    /// order through the op executor, each slice one pipelined round when
+    /// the plan's batch exceeds 1 (at batch 1 a slice is a single op).
+    fn spawn<S: KvStore + 'static>(&self, slices: &[Slice], store: Rc<S>) {
+        let (overhead, pipelined) = (self.cfg.op_overhead_ns, self.cfg.batch > 1);
+        let exec = self.fleet.executor(self.sim, store, overhead, false);
+        let (slices, workload) = (slices.to_vec(), self.workload.clone());
+        let results = self.results.cloned();
+        self.fleet.spawn(self.sim, async move {
+            let planned = |o: &PlannedOp| (o.op, Op::ycsb(&workload, o.op, o.key, o.version));
+            let keep = |o: &PlannedOp, reply: Reply| {
+                if let Some(results) = &results {
+                    results.borrow_mut().push((o.router, o.pos, outcome(reply)));
+                }
+            };
+            for slice in &slices {
+                if pipelined {
+                    let n = slice.ops.len() as u64;
+                    let next = || slice.ops.iter().map(planned).collect();
+                    for (i, reply) in exec.batch(n, slice.measured, next).await {
+                        keep(&slice.ops[i], reply);
+                    }
+                } else {
+                    for o in &slice.ops {
+                        keep(o, exec.one(slice.measured, || planned(o)).await);
+                    }
+                }
             }
+        });
+    }
+}
+
+/// The `Send` form of a reply (payloads copied out of their `Rc`s).
+fn outcome(reply: Reply) -> OpOutcome {
+    match reply {
+        Reply::Got(Ok(Some(v))) => OpOutcome::Value((*v).clone()),
+        Reply::Got(Ok(None)) => OpOutcome::Absent,
+        Reply::Wrote(Ok(())) => OpOutcome::Done,
+        Reply::Got(Err(e)) | Reply::Wrote(Err(e)) | Reply::Scanned(Err(e)) => OpOutcome::Failed(e),
+        Reply::Scanned(Ok(_)) => unreachable!("planned runs issue no scans"),
+    }
+}
+
+/// Runs `run` over every cell on up to `threads` OS threads and returns
+/// the results in cell order: the one work-stealing pool, shared by
+/// [`ShardMode::Threads`] and every bench sweep.
+///
+/// Each cell must be independent (typically it builds and drives its own
+/// seeded `Sim`), so the results do not depend on the thread count or the
+/// scheduling. Only the `Send` result crosses threads. `threads <= 1`
+/// runs strictly sequentially on the calling thread.
+pub fn sweep_on<T, R, F>(threads: usize, cells: &[T], run: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let threads = threads.min(cells.len());
+    if threads <= 1 {
+        return cells.iter().map(run).collect();
+    }
+    // Work stealing via a shared claim counter: finished workers pull the
+    // next unstarted cell, so long and short cells balance automatically.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i) else { break };
+                let out = run(cell);
+                *slots[i].lock().expect("sweep slot poisoned") = Some(out);
+            });
         }
-        active.set(active.get() - 1);
     });
-}
-
-/// Executes a slice one op at a time (the plan's batch size is 1, so each
-/// slice holds a single op).
-async fn run_slice_sequential<S: KvStore>(
-    sim: &Sim,
-    store: &Rc<S>,
-    slice: &Slice,
-    workload: &Workload,
-    stats: &Rc<RefCell<RunStats>>,
-    results: Option<&ResultSink>,
-) {
-    for op in &slice.ops {
-        let t0 = sim.now();
-        let (ok, outcome) = execute_one(store, op, workload).await;
-        let t1 = sim.now();
-        if slice.measured {
-            record_measured(&mut stats.borrow_mut(), op.op, t0, t1, ok);
-        }
-        if let Some(results) = results {
-            results.borrow_mut().push((op.router, op.pos, outcome));
-        }
-    }
-}
-
-async fn execute_one<S: KvStore>(
-    store: &Rc<S>,
-    op: &PlannedOp,
-    workload: &Workload,
-) -> (bool, OpOutcome) {
-    match op.op {
-        OpType::Get => match store.get(op.key).await {
-            Ok(Some(v)) => (true, OpOutcome::Value((*v).clone())),
-            // The runner counts an absent get as a failed op.
-            Ok(None) => (false, OpOutcome::Absent),
-            Err(e) => (false, OpOutcome::Failed(e)),
-        },
-        OpType::Update => mutated(
-            store
-                .update(op.key, workload.value_for(op.key, op.version))
-                .await,
-        ),
-        OpType::Insert => mutated(
-            store
-                .insert(op.key, workload.value_for(op.key, op.version))
-                .await,
-        ),
-        OpType::Delete => mutated(store.delete(op.key).await),
-    }
-}
-
-fn mutated(r: Result<(), KvError>) -> (bool, OpOutcome) {
-    match r {
-        Ok(()) => (true, OpOutcome::Done),
-        Err(e) => (false, OpOutcome::Failed(e)),
-    }
-}
-
-/// Executes a slice as one pipelined multi-op round (the runner's batched
-/// worker): gets/updates/inserts fan out concurrently, deletes follow
-/// sequentially, and every element pays the whole slice's latency.
-async fn run_slice_batched<S: KvStore>(
-    sim: &Sim,
-    store: &Rc<S>,
-    slice: &Slice,
-    workload: &Workload,
-    stats: &Rc<RefCell<RunStats>>,
-    results: Option<&ResultSink>,
-) {
-    let mut gets: Vec<&PlannedOp> = Vec::new();
-    let mut updates: Vec<&PlannedOp> = Vec::new();
-    let mut inserts: Vec<&PlannedOp> = Vec::new();
-    let mut deletes: Vec<&PlannedOp> = Vec::new();
-    for op in &slice.ops {
-        match op.op {
-            OpType::Get => gets.push(op),
-            OpType::Update => updates.push(op),
-            OpType::Insert => inserts.push(op),
-            OpType::Delete => deletes.push(op),
-        }
-    }
-    let get_keys: Vec<u64> = gets.iter().map(|o| o.key).collect();
-    let value_ops = |ops: &[&PlannedOp]| -> Vec<(u64, Vec<u8>)> {
-        ops.iter()
-            .map(|o| (o.key, workload.value_for(o.key, o.version)))
-            .collect()
-    };
-    let update_ops = value_ops(&updates);
-    let insert_ops = value_ops(&inserts);
-
-    let t0 = sim.now();
-    let (got, (updated, inserted)) = join2(
-        store.multi_get(&get_keys),
-        join2(
-            store.multi_update(&update_ops),
-            store.multi_insert(&insert_ops),
-        ),
-    )
-    .await;
-    let mut deleted = Vec::with_capacity(deletes.len());
-    for op in &deletes {
-        deleted.push(store.delete(op.key).await);
-    }
-    let t1 = sim.now();
-
-    let finish = |op: &PlannedOp, ok: bool, outcome: OpOutcome| {
-        if slice.measured {
-            record_measured(&mut stats.borrow_mut(), op.op, t0, t1, ok);
-        }
-        if let Some(results) = results {
-            results.borrow_mut().push((op.router, op.pos, outcome));
-        }
-    };
-    for (op, r) in gets.iter().zip(got) {
-        let (ok, outcome) = match r {
-            Ok(Some(v)) => (true, OpOutcome::Value((*v).clone())),
-            Ok(None) => (false, OpOutcome::Absent),
-            Err(e) => (false, OpOutcome::Failed(e)),
-        };
-        finish(op, ok, outcome);
-    }
-    for (op, r) in updates.iter().zip(updated) {
-        let (ok, outcome) = mutated(r);
-        finish(op, ok, outcome);
-    }
-    for (op, r) in inserts.iter().zip(inserted) {
-        let (ok, outcome) = mutated(r);
-        finish(op, ok, outcome);
-    }
-    for (op, r) in deletes.iter().zip(deleted) {
-        let (ok, outcome) = mutated(r);
-        finish(op, ok, outcome);
-    }
-}
-
-fn record_measured(stats: &mut RunStats, op: OpType, t0: Nanos, t1: Nanos, ok: bool) {
-    if stats.measured_ops == 0 {
-        stats.start_ns = t0;
-    }
-    stats.measured_ops += 1;
-    stats.end_ns = stats.end_ns.max(t1);
-    if !ok {
-        stats.failed_ops += 1;
-    }
-    stats.latency.entry(op).or_default().record(t1 - t0);
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("sweep slot poisoned")
+                .expect("every claimed cell stores a result")
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envknob::parse_knob;
     use crate::Protocol;
     use swarm_workload::WorkloadSpec;
+
+    fn parse_shard_threads(raw: Option<&str>) -> Option<usize> {
+        parse_knob(
+            "SWARM_SHARD_THREADS",
+            raw,
+            "a positive integer like 4",
+            |n| *n >= 1,
+        )
+    }
 
     #[test]
     fn shard_threads_knob_parses_falls_back_and_warns_once() {
@@ -1058,29 +835,85 @@ mod tests {
 
     #[test]
     fn threads_one_matches_sequential() {
+        // Every way the pool can run the shards — Sequential, Threads(1),
+        // and two work-stealing threads — on both executor paths (direct
+        // ops at batch 1, pipelined rounds at batch 4).
         let builder = StoreBuilder::new(Protocol::SafeGuess)
             .value_size(64)
             .max_clients(2)
             .shards(2);
         let wl = Workload::ycsb(WorkloadSpec::B, 64, 64);
-        let cfg = RunConfig {
-            warmup_ops: 10,
-            measure_ops: 50,
-            ..Default::default()
-        };
         let opts = ShardRunOptions {
             preload_keys: Some(64),
             record_history: true,
+            collect_results: true,
             ..Default::default()
         };
-        let run = |mode| run_sharded_workload(&builder, 9, &wl, &cfg, 2, &opts, mode);
-        let seq = run(ShardMode::Sequential);
-        let one = run(ShardMode::Threads(1));
-        assert_eq!(seq.histories(), one.histories());
-        assert_eq!(seq.per_shard_traffic(), one.per_shard_traffic());
-        assert_eq!(
-            seq.merged_stats().throughput_ops().to_bits(),
-            one.merged_stats().throughput_ops().to_bits()
-        );
+        for batch in [1, 4] {
+            let cfg = RunConfig {
+                warmup_ops: 10,
+                measure_ops: 50,
+                batch,
+                ..Default::default()
+            };
+            let plan = plan_workload(9, ShardSpec::new(2), &wl, &cfg, 2);
+            let run = |mode| run_sharded_plan(&builder, 9, &plan, &wl, &opts, mode);
+            let seq = run(ShardMode::Sequential);
+            for mode in [ShardMode::Threads(1), ShardMode::Threads(2)] {
+                let other = run(mode);
+                assert_eq!(seq.histories(), other.histories(), "{mode:?} batch {batch}");
+                assert_eq!(seq.per_shard_traffic(), other.per_shard_traffic());
+                assert_eq!(seq.results(), other.results());
+                let (a, b) = (seq.merged_stats(), other.merged_stats());
+                assert_eq!(
+                    (a.measured_ops, a.failed_ops),
+                    (b.measured_ops, b.failed_ops)
+                );
+                assert_eq!(a.throughput_ops().to_bits(), b.throughput_ops().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn results_come_back_in_cell_order() {
+        let cells: Vec<u64> = (0..37).collect();
+        let out = sweep_on(4, &cells, |&c| c * 10);
+        assert_eq!(out, cells.iter().map(|c| c * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn parallel_equals_sequential_for_simulation_cells() {
+        // Each cell runs its own seeded Sim; the parallel sweep must produce
+        // exactly the sequential outputs, cell for cell.
+        let cells: Vec<u64> = (0..12).collect();
+        let run = |&seed: &u64| {
+            let sim = Sim::new(seed);
+            let s = sim.clone();
+            let end = sim.block_on(async move {
+                for _ in 0..50 {
+                    let d = s.rand_range(1, 1_000);
+                    s.sleep_ns(d).await;
+                }
+                s.now()
+            });
+            (seed, end, sim.counters().events_scheduled)
+        };
+        let sequential = sweep_on(1, &cells, run);
+        let parallel = sweep_on(4, &cells, run);
+        assert_eq!(sequential, parallel);
+    }
+
+    #[test]
+    fn zero_and_one_thread_degenerate_to_sequential() {
+        let cells = vec![1u32, 2, 3];
+        assert_eq!(sweep_on(0, &cells, |&c| c), vec![1, 2, 3]);
+        assert_eq!(sweep_on(1, &cells, |&c| c), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn empty_sweep_is_fine() {
+        let cells: Vec<u8> = Vec::new();
+        let out: Vec<u8> = sweep_on(8, &cells, |&c| c);
+        assert!(out.is_empty());
     }
 }

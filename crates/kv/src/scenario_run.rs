@@ -12,13 +12,12 @@
 //! `(seed, spec, store configuration)` — the property `bench_scenarios`
 //! relies on for machine-diffable reports.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use swarm_sim::{Histogram, Nanos, Sim, NANOS_PER_SEC};
+use swarm_sim::{Nanos, Sim};
 use swarm_workload::{scenario_value, ScenarioOp, ScenarioOpClass, ScenarioSpec};
 
+use crate::driver::{Fleet, Op, OpStats};
 use crate::store::KvStore;
 
 /// Scenario run parameters.
@@ -60,38 +59,28 @@ fn payload(key: u64, version: u64, size: usize, cap: usize) -> Vec<u8> {
     v
 }
 
-/// Collected scenario results.
-#[derive(Debug, Default)]
-pub struct ScenarioStats {
-    /// Latency histogram per operation class.
-    pub latency: HashMap<ScenarioOpClass, Histogram>,
-    /// Operations completed (one RMW counts once).
-    pub measured_ops: u64,
-    /// Operations that returned failure/absence (a `Get`/`Rmw` of an
-    /// absent key counts here, like the YCSB runner's `failed_ops`).
-    pub failed_ops: u64,
-    /// Total items returned across all scans.
-    pub scanned_items: u64,
-    /// First op start time.
-    pub start_ns: Nanos,
-    /// Last op completion time.
-    pub end_ns: Nanos,
-}
-
-impl ScenarioStats {
-    /// Overall measured throughput in operations per second.
-    pub fn throughput_ops(&self) -> f64 {
-        if self.end_ns <= self.start_ns {
-            return 0.0;
+/// The executor's form of a scenario op (payloads padded to `cap`).
+fn op(op: ScenarioOp, cap: usize) -> Op {
+    match op {
+        ScenarioOp::Get { key } => Op::Get(key),
+        ScenarioOp::Update { key, size, version } => {
+            Op::Update(key, payload(key, version, size, cap))
         }
-        self.measured_ops as f64 * NANOS_PER_SEC as f64 / (self.end_ns - self.start_ns) as f64
-    }
-
-    /// Latency histogram for one class (empty if none ran).
-    pub fn lat(&self, class: ScenarioOpClass) -> Histogram {
-        self.latency.get(&class).cloned().unwrap_or_default()
+        ScenarioOp::Insert {
+            key,
+            size,
+            version,
+            ttl_ns,
+        } => Op::Insert(key, payload(key, version, size, cap), ttl_ns),
+        ScenarioOp::Delete { key } => Op::Delete(key),
+        ScenarioOp::Scan { start, limit } => Op::Scan(start, limit),
+        ScenarioOp::Rmw { key, size, version } => Op::Rmw(key, payload(key, version, size, cap)),
     }
 }
+
+/// Collected scenario results, per [`ScenarioOpClass`]. Every op is
+/// measured; a `Get`/`Rmw` of an absent key counts in `failed_ops`.
+pub type ScenarioStats = OpStats<ScenarioOpClass>;
 
 /// Runs the scenario stream against the given store handles (the stream is
 /// dealt round-robin across them; each handle executes its slice
@@ -108,113 +97,23 @@ pub fn run_scenario<S: KvStore + 'static>(
         "a scenario run needs at least one client"
     );
     let ops = spec.ops(cfg.seed);
-    let shared = Rc::new(RefCell::new(Shared {
-        stats: ScenarioStats::default(),
-        active_workers: stores.len().min(ops.len().max(1)),
-    }));
-
-    let n_workers = shared.borrow().active_workers;
+    let n_workers = stores.len().min(ops.len().max(1));
     let mut slices: Vec<Vec<ScenarioOp>> = vec![Vec::new(); n_workers];
     for (i, op) in ops.into_iter().enumerate() {
         slices[i % n_workers].push(op);
     }
 
+    let fleet = Fleet::new(ScenarioStats::default());
     for (store, slice) in stores.iter().zip(slices) {
-        let store = Rc::clone(store);
-        let sim2 = sim.clone();
-        let shared = Rc::clone(&shared);
-        let cfg = cfg.clone();
-        sim.spawn(async move {
-            run_slice(&sim2, store, slice, &cfg, &shared).await;
-            shared.borrow_mut().active_workers -= 1;
+        let exec = fleet.executor(sim, Rc::clone(store), cfg.op_overhead_ns, false);
+        let cap = cfg.value_cap;
+        fleet.spawn(sim, async move {
+            for o in slice {
+                exec.one(true, || (o.class(), op(o, cap))).await;
+            }
         });
     }
-
-    loop {
-        let horizon = sim.now() + 50 * swarm_sim::NANOS_PER_MILLI;
-        sim.run_until(horizon);
-        if shared.borrow().active_workers == 0 {
-            break;
-        }
-        assert!(
-            sim.live_tasks() > 0,
-            "simulation drained with scenario workers still pending"
-        );
-    }
-
-    let shared = Rc::try_unwrap(shared)
-        .ok()
-        .expect("workers still hold state");
-    shared.into_inner().stats
-}
-
-struct Shared {
-    stats: ScenarioStats,
-    active_workers: usize,
-}
-
-async fn run_slice<S: KvStore>(
-    sim: &Sim,
-    store: Rc<S>,
-    slice: Vec<ScenarioOp>,
-    cfg: &ScenarioRunConfig,
-    shared: &Rc<RefCell<Shared>>,
-) {
-    for op in slice {
-        store.endpoint().work(cfg.op_overhead_ns).await;
-        let t0 = sim.now();
-        let mut scanned = 0u64;
-        let ok = match op {
-            ScenarioOp::Get { key } => matches!(store.get(key).await, Ok(Some(_))),
-            ScenarioOp::Update { key, size, version } => store
-                .update(key, payload(key, version, size, cfg.value_cap))
-                .await
-                .is_ok(),
-            ScenarioOp::Insert {
-                key,
-                size,
-                version,
-                ttl_ns,
-            } => store
-                .insert_ttl(key, payload(key, version, size, cfg.value_cap), ttl_ns)
-                .await
-                .is_ok(),
-            ScenarioOp::Delete { key } => store.delete(key).await.is_ok(),
-            ScenarioOp::Scan { start, limit } => match store.scan(start, limit).await {
-                Ok(items) => {
-                    scanned = items.len() as u64;
-                    true
-                }
-                Err(_) => false,
-            },
-            ScenarioOp::Rmw { key, size, version } => {
-                // Read-modify-write: the read's observation feeds the
-                // write in a real application; here only the latency of
-                // the two dependent legs matters.
-                match store.get(key).await {
-                    Ok(Some(_)) => store
-                        .update(key, payload(key, version, size, cfg.value_cap))
-                        .await
-                        .is_ok(),
-                    _ => false,
-                }
-            }
-        };
-        let t1 = sim.now();
-
-        let mut sh = shared.borrow_mut();
-        let st = &mut sh.stats;
-        if st.measured_ops == 0 {
-            st.start_ns = t0;
-        }
-        st.measured_ops += 1;
-        st.end_ns = st.end_ns.max(t1);
-        st.scanned_items += scanned;
-        if !ok {
-            st.failed_ops += 1;
-        }
-        st.latency.entry(op.class()).or_default().record(t1 - t0);
-    }
+    fleet.drive(sim)
 }
 
 #[cfg(test)]
